@@ -48,6 +48,15 @@ fn bench_steps(c: &mut Criterion) {
     bench_game(c, "pow", Pow::new(&ten, 0.01), &ten);
     bench_game(c, "neo", Neo::new(&ten, 0.01), &ten);
     bench_game(c, "c-pos", CPos::new(0.01, 0.1, 1), &ten);
+    // The two step kernels behind `fairness-serve`'s fresh jobs: a
+    // single-shard C-PoS epoch and the selfish-mining adapter over PoW.
+    bench_game(c, "c-pos", CPos::new(0.01, 0.1, 1), &two);
+    bench_game(
+        c,
+        "selfish-mining-pow",
+        Adversary::new(Pow::new(&two, 0.01), SelfishMining::new(0.5)),
+        &two,
+    );
     bench_game(c, "algorand", Algorand::new(0.1), &ten);
     bench_game(c, "eos", Eos::new(0.01, 0.1), &ten);
     // The registry path every figure actually takes: a type-erased box

@@ -24,8 +24,9 @@
 
 use crate::protocol::{protocol_tag, IncentiveProtocol, StepOutcome, StepRewards, StepRewardsView};
 use fairness_stats::rng::Xoshiro256StarStar;
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What a strategic miner just observed (the triggering block is already
 /// recorded in the [`ForkState`] handed alongside).
@@ -490,7 +491,7 @@ pub fn run_fork_game<S: Strategy + ?Sized>(
 pub struct Adversary<P, S> {
     inner: P,
     strategy: S,
-    machine: Mutex<AdversaryScratch>,
+    scratch: ScratchCell,
 }
 
 /// Interior per-game state of an [`Adversary`]: the fork machine plus a
@@ -502,6 +503,40 @@ struct AdversaryScratch {
     inner_out: StepOutcome,
 }
 
+/// A minimal lock around an [`Adversary`]'s per-game scratch. Every
+/// game steps its own clone, so it is never contended; entering costs
+/// one atomic swap and leaving one plain store, against a `Mutex`'s two
+/// atomic read-modify-writes and poison bookkeeping. A panic mid-step
+/// releases it (no poisoning).
+#[derive(Debug)]
+struct ScratchCell {
+    busy: AtomicBool,
+    scratch: UnsafeCell<AdversaryScratch>,
+}
+
+// SAFETY: `busy` serializes every access to `scratch` (see `with`), and
+// `AdversaryScratch` is `Send`.
+unsafe impl Sync for ScratchCell {}
+
+impl ScratchCell {
+    #[inline]
+    fn with<R>(&self, f: impl FnOnce(&mut AdversaryScratch) -> R) -> R {
+        struct Release<'a>(&'a AtomicBool);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
+            }
+        }
+        while self.busy.swap(true, Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        let _release = Release(&self.busy);
+        // SAFETY: holding `busy` grants exclusive access until `_release`
+        // drops, including on unwind.
+        f(unsafe { &mut *self.scratch.get() })
+    }
+}
+
 impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
     /// Wraps `inner` with miner 0 playing `strategy`.
     #[must_use]
@@ -509,10 +544,13 @@ impl<P: IncentiveProtocol, S: Strategy> Adversary<P, S> {
         Self {
             inner,
             strategy,
-            machine: Mutex::new(AdversaryScratch {
-                machine: ForkMachine::new(0),
-                inner_out: StepOutcome::new(),
-            }),
+            scratch: ScratchCell {
+                busy: AtomicBool::new(false),
+                scratch: UnsafeCell::new(AdversaryScratch {
+                    machine: ForkMachine::new(0),
+                    inner_out: StepOutcome::new(),
+                }),
+            },
         }
     }
 
@@ -583,54 +621,57 @@ impl<P: IncentiveProtocol, S: Strategy> IncentiveProtocol for Adversary<P, S> {
         rng: &mut Xoshiro256StarStar,
         out: &mut StepOutcome,
     ) {
-        let mut guard = self.machine.lock().expect("adversary fork state lock");
-        let state = &mut *guard;
-        // The stake vector may have changed since the previous settled
-        // block (the game credits rewards between steps); a live sampler
-        // in the interior scratch would be stale. Within this step the
-        // stakes are fixed, so grinding redraws still reuse the rebuild.
-        state.inner_out.invalidate_weights();
-        let mut safety = 0u32;
-        while state.machine.settled_len() == 0 {
-            safety += 1;
-            assert!(
-                safety < 1_000_000,
-                "fork never settled after 1M events — runaway strategy"
-            );
-            // Grinding: when the attacker authored her tip she redraws the
-            // lottery up to `tries` times and keeps the first winning draw
-            // (falling back to the last). `tries = 1` draws exactly once,
-            // making the adapter bit-identical to the honest stream.
-            let tries = if state.machine.attacker_controls_tip() {
-                self.strategy.grinding_tries()
-            } else {
-                1
-            };
-            self.inner
-                .step_into(stakes, step, rng, &mut state.inner_out);
-            let mut winner = single_winner(state.inner_out.view(), self.inner.name());
-            let mut attempt = 1;
-            while winner != 0 && attempt < tries {
+        self.scratch.with(|state| {
+            // The stake vector may have changed since the previous settled
+            // block (the game credits rewards between steps, reporting them
+            // only to its own outcome), so a live sampler over `stakes` in
+            // the interior scratch would be stale. A sampler over other
+            // weights — PoW's fixed hash-power shares — stays live. Within
+            // this step the stakes are fixed, so grinding redraws still
+            // reuse the rebuild.
+            state.inner_out.invalidate_weights_of(stakes);
+            let mut safety = 0u32;
+            while state.machine.settled_len() == 0 {
+                safety += 1;
+                assert!(
+                    safety < 1_000_000,
+                    "fork never settled after 1M events — runaway strategy"
+                );
+                // Grinding: when the attacker authored her tip she redraws the
+                // lottery up to `tries` times and keeps the first winning draw
+                // (falling back to the last). `tries = 1` draws exactly once,
+                // making the adapter bit-identical to the honest stream.
+                let tries = if state.machine.attacker_controls_tip() {
+                    self.strategy.grinding_tries()
+                } else {
+                    1
+                };
                 self.inner
                     .step_into(stakes, step, rng, &mut state.inner_out);
-                winner = single_winner(state.inner_out.view(), self.inner.name());
-                attempt += 1;
+                let mut winner = single_winner(state.inner_out.view(), self.inner.name());
+                let mut attempt = 1;
+                while winner != 0 && attempt < tries {
+                    self.inner
+                        .step_into(stakes, step, rng, &mut state.inner_out);
+                    winner = single_winner(state.inner_out.view(), self.inner.name());
+                    attempt += 1;
+                }
+                let on_private = if winner == 0 {
+                    true
+                } else if state.machine.tie_race() {
+                    rng.next_f64() < self.strategy.gamma()
+                } else {
+                    false
+                };
+                state.machine.on_block(&self.strategy, winner, on_private);
             }
-            let on_private = if winner == 0 {
-                true
-            } else if state.machine.tie_race() {
-                rng.next_f64() < self.strategy.gamma()
-            } else {
-                false
-            };
-            state.machine.on_block(&self.strategy, winner, on_private);
-        }
-        out.set_winner(
-            state
-                .machine
-                .pop_settled()
-                .expect("settled queue non-empty"),
-        );
+            out.set_winner(
+                state
+                    .machine
+                    .pop_settled()
+                    .expect("settled queue non-empty"),
+            );
+        });
     }
 }
 
@@ -775,6 +816,110 @@ mod tests {
         assert_eq!(ground, plain, "honest adapter must equal the bare protocol");
     }
 
+    /// The adapter's winner stream over `steps` compounding steps, next
+    /// to a reference that runs the same fork logic but draws through the
+    /// inner protocol's allocating `step`, whose fresh outcome rebuilds
+    /// the sampler from the current weights on every draw.
+    fn adapter_and_reference<P, S>(
+        inner: P,
+        strategy: S,
+        shares: &[f64],
+        steps: u64,
+    ) -> [Vec<usize>; 2]
+    where
+        P: IncentiveProtocol + Clone,
+        S: Strategy + Clone,
+    {
+        let reward = inner.reward_per_step();
+        let compound = |stakes: &mut [f64], w: usize| {
+            if inner.rewards_compound() {
+                stakes[w] += reward;
+            }
+        };
+
+        let adapter = Adversary::new(inner.clone(), strategy.clone());
+        let mut rng = Xoshiro256StarStar::new(404);
+        let mut out = StepOutcome::new();
+        let mut stakes = shares.to_vec();
+        let mut fast = Vec::new();
+        for step in 0..steps {
+            adapter.step_into(&stakes, step, &mut rng, &mut out);
+            let w = single_winner(out.view(), "adapter");
+            compound(&mut stakes, w);
+            fast.push(w);
+        }
+
+        let mut rng = Xoshiro256StarStar::new(404);
+        let mut machine = ForkMachine::new(0);
+        let mut stakes = shares.to_vec();
+        let mut reference = Vec::new();
+        let draw = |stakes: &[f64], step, rng: &mut Xoshiro256StarStar| match inner
+            .step(stakes, step, rng)
+        {
+            StepRewards::Winner(w) => w,
+            StepRewards::Split(_) => unreachable!(),
+        };
+        for step in 0..steps {
+            while machine.settled_len() == 0 {
+                let tries = if machine.attacker_controls_tip() {
+                    strategy.grinding_tries()
+                } else {
+                    1
+                };
+                let mut winner = draw(&stakes, step, &mut rng);
+                for _ in 1..tries {
+                    if winner == 0 {
+                        break;
+                    }
+                    winner = draw(&stakes, step, &mut rng);
+                }
+                let on_private =
+                    winner == 0 || (machine.tie_race() && rng.next_f64() < strategy.gamma());
+                machine.on_block(&strategy, winner, on_private);
+            }
+            let w = machine.pop_settled().expect("settled");
+            compound(&mut stakes, w);
+            reference.push(w);
+        }
+        [fast, reference]
+    }
+
+    #[test]
+    fn adapter_sampler_reuse_matches_per_step_rebuild() {
+        // PoW keeps its sampler over its own fixed shares alive across
+        // steps; ML-PoS samples the stake vector itself, so the adapter
+        // must still see every compounded reward. Both, and the
+        // sampler-free SL-PoS, must equal the rebuild-every-draw stream.
+        // A small reward keeps compounding from handing the attacker a
+        // lead that never settles.
+        let (shares, w, n) = ([0.25, 0.45, 0.3], 0.001, 10_000);
+        let check = |label: &str, [fast, reference]: [Vec<usize>; 2]| {
+            let diverged = fast.iter().zip(&reference).position(|(a, b)| a != b);
+            assert_eq!(diverged, None, "{label}: winner streams diverge");
+        };
+        check(
+            "pow",
+            adapter_and_reference(Pow::new(&shares, w), SelfishMining::new(0.5), &shares, n),
+        );
+        check(
+            "ml-pos",
+            adapter_and_reference(MlPos::new(w), SelfishMining::new(0.5), &shares, n),
+        );
+        check(
+            "sl-pos",
+            adapter_and_reference(SlPos::new(w), SelfishMining::new(0.5), &shares, n),
+        );
+        // Grinding redraws within a step reuse the step's sampler.
+        check(
+            "ml-pos grinding",
+            adapter_and_reference(MlPos::new(w), StakeGrinding::new(3), &shares, n),
+        );
+        check(
+            "sl-pos grinding",
+            adapter_and_reference(SlPos::new(w), StakeGrinding::new(3), &shares, n),
+        );
+    }
+
     #[test]
     fn grinding_stationary_rate_matches_closed_form() {
         // Frozen stakes isolate the grinding Markov chain from SL-PoS
@@ -843,9 +988,10 @@ mod tests {
             let _ = adapter.step(&[0.4, 0.6], i, &mut rng);
         }
         let fresh = adapter.clone();
-        let m = fresh.machine.lock().expect("lock");
-        assert_eq!(m.machine.state().private, 0);
-        assert_eq!(m.machine.settled_len(), 0);
+        fresh.scratch.with(|m| {
+            assert_eq!(m.machine.state().private, 0);
+            assert_eq!(m.machine.settled_len(), 0);
+        });
     }
 
     #[test]

@@ -264,6 +264,17 @@ impl StepOutcome {
     pub fn invalidate_weights(&mut self) {
         self.sampler_live = false;
     }
+
+    /// [`invalidate_weights`](Self::invalidate_weights), but only if the
+    /// live sampler mirrors exactly this `weights` slice: a caller that
+    /// knows one buffer changed keeps a sampler over any other weights
+    /// (say a protocol's fixed hash-power shares) alive.
+    #[inline]
+    pub(crate) fn invalidate_weights_of(&mut self, weights: &[f64]) {
+        if self.sampler_key == (weights.as_ptr() as usize, weights.len()) {
+            self.sampler_live = false;
+        }
+    }
 }
 
 impl StepRewards {

@@ -86,18 +86,35 @@ impl IncentiveProtocol for CPos {
         ]
     }
 
-    fn step(&self, stakes: &[f64], step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
-        let _ = total_stake(stakes);
-        let mut out = StepOutcome::new();
-        self.step_into(stakes, step, rng, &mut out);
-        out.to_rewards()
+    /// The reference epoch: every intermediate in its own allocation and
+    /// the lottery through [`Multinomial::sample`]. The hot path,
+    /// [`step_into`](IncentiveProtocol::step_into), must match it bit for
+    /// bit.
+    fn step(&self, stakes: &[f64], _step: u64, rng: &mut Xoshiro256StarStar) -> StepRewards {
+        let total = total_stake(stakes);
+        let probs: Vec<f64> = stakes.iter().map(|&s| s / total).collect();
+        // Proposer lottery: X ~ Multinomial(P, probs).
+        let counts = if probs.len() == 1 {
+            vec![u64::from(self.shards)]
+        } else {
+            Multinomial::new(u64::from(self.shards), probs.clone()).sample(rng)
+        };
+        let per_shard = self.proposer_reward / f64::from(self.shards);
+        StepRewards::Split(
+            counts
+                .iter()
+                .zip(&probs)
+                .map(|(&x, &p)| x as f64 * per_shard + self.inflation_reward * p)
+                .collect(),
+        )
     }
 
-    /// One epoch without a single heap allocation: share probabilities,
-    /// multinomial scratch and trial counts all borrow the outcome's
-    /// pooled buffers, and the trial loop is
-    /// [`Multinomial::sample_weights_into`] — bit-for-bit the arithmetic
-    /// and RNG stream of the allocating path.
+    /// One epoch written straight into the outcome's split slots, which
+    /// double as the lottery's probability table: no scratch vectors at
+    /// `P = 1` and one pooled count vector otherwise. Same arithmetic and
+    /// RNG stream as [`step`](IncentiveProtocol::step): shares `s_i/Σs`,
+    /// renormalized by their own sum as [`Multinomial`] does, then each
+    /// trial walks one uniform down the categories.
     fn step_into(
         &self,
         stakes: &[f64],
@@ -108,31 +125,58 @@ impl IncentiveProtocol for CPos {
         let total: f64 = stakes.iter().sum();
         debug_assert!(total.is_finite() && total > 0.0);
         let m = stakes.len();
-        let mut probs = out.take_f64();
-        probs.extend(stakes.iter().map(|&s| s / total));
-        // Proposer lottery: X ~ Multinomial(P, probs).
-        let mut normalized = out.take_f64();
-        let mut counts = out.take_u64();
+        let shards = f64::from(self.shards);
+        let per_shard = self.proposer_reward / shards;
+        let inflation = self.inflation_reward;
         if m == 1 {
-            counts.push(self.shards as u64);
+            out.split_slots(1)[0] = shards * per_shard + inflation * (stakes[0] / total);
+            return;
+        }
+        let mut counts = if self.shards == 1 {
+            Vec::new()
         } else {
-            Multinomial::sample_weights_into(
-                self.shards as u64,
-                &probs,
-                &mut normalized,
-                &mut counts,
-                rng,
-            );
-        }
-        let per_shard = self.proposer_reward / self.shards as f64;
+            out.take_u64()
+        };
         let slots = out.split_slots(m);
-        for ((slot, &x), &p) in slots.iter_mut().zip(&counts).zip(&probs) {
-            *slot = x as f64 * per_shard + self.inflation_reward * p;
+        let mut norm = 0.0;
+        for (slot, &s) in slots.iter_mut().zip(stakes) {
+            *slot = s / total;
+            norm += *slot;
         }
-        out.give_f64(probs);
-        out.give_f64(normalized);
-        out.give_u64(counts);
+        for slot in slots.iter_mut() {
+            *slot /= norm;
+        }
+        if self.shards == 1 {
+            let winner = proposer(slots, rng);
+            for (i, (slot, &s)) in slots.iter_mut().zip(stakes).enumerate() {
+                let x = if i == winner { 1.0 } else { 0.0 };
+                *slot = x * per_shard + inflation * (s / total);
+            }
+        } else {
+            counts.resize(m, 0);
+            for _ in 0..self.shards {
+                counts[proposer(slots, rng)] += 1;
+            }
+            for ((slot, &x), &s) in slots.iter_mut().zip(&counts).zip(stakes) {
+                *slot = x as f64 * per_shard + inflation * (s / total);
+            }
+            out.give_u64(counts);
+        }
     }
+}
+
+/// One proposer draw over normalized probabilities — the trial loop of
+/// [`Multinomial::sample`], uniform for uniform.
+#[inline]
+fn proposer(probs: &[f64], rng: &mut Xoshiro256StarStar) -> usize {
+    let mut u = rng.next_f64();
+    for (i, &p) in probs.iter().enumerate() {
+        if u < p {
+            return i;
+        }
+        u -= p;
+    }
+    probs.len() - 1
 }
 
 #[cfg(test)]
@@ -223,6 +267,39 @@ mod tests {
         let nonzero: Vec<&f64> = r.iter().filter(|&&x| x > 0.0).collect();
         assert_eq!(nonzero.len(), 1);
         assert!((*nonzero[0] - 0.01).abs() < 1e-15);
+    }
+
+    #[test]
+    fn step_into_is_bit_identical_to_multinomial_step() {
+        // The hot path must reproduce the allocating `Multinomial::sample`
+        // reference bit for bit and leave the RNG stream where it does.
+        use crate::protocol::{StepOutcome, StepRewardsView};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in [1usize, 2, 3, 8, 10] {
+            for shards in [1u32, 32] {
+                let cpos = CPos::new(0.01, 0.1, shards);
+                // Uneven shares, one of them tiny, compounding as they go.
+                let mut stakes: Vec<f64> = (0..m).map(|i| 0.1 + i as f64 / 7.0).collect();
+                stakes[0] = 1e-9;
+                let mut reference = Xoshiro256StarStar::new(1000 + m as u64);
+                let mut hot = reference.clone();
+                let mut out = StepOutcome::new();
+                for step in 0..5_000 {
+                    let StepRewards::Split(want) = cpos.step(&stakes, step, &mut reference) else {
+                        unreachable!()
+                    };
+                    cpos.step_into(&stakes, step, &mut hot, &mut out);
+                    let StepRewardsView::Split(got) = out.view() else {
+                        panic!("C-PoS must split")
+                    };
+                    assert_eq!(bits(&want), bits(got), "m={m} P={shards} step {step}");
+                    for (s, r) in stakes.iter_mut().zip(&want) {
+                        *s += r;
+                    }
+                }
+                assert_eq!(reference.next(), hot.next(), "m={m} P={shards}");
+            }
+        }
     }
 
     #[test]

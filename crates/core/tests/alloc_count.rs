@@ -116,6 +116,11 @@ fn steady_state_stepping_never_allocates() {
         check!("sl-pos", SlPos::new(0.01));
         check!("fsl-pos", FslPos::new(0.01));
         check!("c-pos", CPos::new(0.01, 0.1, 8));
+        check!("c-pos single shard", CPos::new(0.01, 0.1, 1));
+        check!(
+            "selfish-mining(pow)",
+            Adversary::new(Pow::new(&shares, 0.01), SelfishMining::new(0.5))
+        );
         check!("neo", Neo::new(&shares, 0.01));
         check!("algorand", Algorand::new(0.1));
         check!("eos", Eos::new(0.01, 0.1));

@@ -31,15 +31,17 @@ use fairness_bench::ReproOptions;
 use fairness_core::scenario::text::parse_scenarios;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use http::{read_request, write_response, write_stream_head, ParseError, Request};
 
-/// How long the accept loop sleeps when no connection is pending before
-/// re-checking the shutdown flag.
+/// Backstop for the accept loop's readiness wait. Connections and
+/// [`Server::shutdown`] wake the loop at once; only a stop request that
+/// arrives without a wake-up (the SIGTERM flag, set by a signal handler
+/// that may run on any thread) waits out this timeout before it is seen.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Granularity of the event-stream wait (bounds how late a terminal
 /// event can be noticed, not how early).
@@ -98,11 +100,22 @@ impl Server {
         &self.service
     }
 
-    /// Requests shutdown: the accept loop stops taking connections,
-    /// queued jobs finish ([`SweepService::drain`]), then [`run`](Self::run)
-    /// returns.
+    /// Requests shutdown and wakes the accept loop: it stops taking
+    /// connections, queued jobs finish ([`SweepService::drain`]), then
+    /// [`run`](Self::run) returns.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        // Wake the accept loop's readiness wait with a throwaway
+        // connection to our own listener; it is never served.
+        if let Ok(mut addr) = self.listener.local_addr() {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&addr, ACCEPT_POLL);
+        }
     }
 
     /// Serves until [`shutdown`](Self::shutdown) is called or
@@ -122,26 +135,26 @@ impl Server {
             std::thread::spawn(move || server.service.serve_worker())
         };
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) || external_stop() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let server = Arc::clone(self);
-                    connections.push(std::thread::spawn(move || {
-                        if let Err(e) = server.handle_connection(stream) {
-                            eprintln!("fairness-serve: connection error: {e}");
-                        }
-                    }));
-                    connections.retain(|h| !h.is_finished());
+        while !(self.shutdown.load(Ordering::Relaxed) || external_stop()) {
+            // Accept everything pending, then sleep until the listener is
+            // readable again (or the backstop elapses).
+            loop {
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let server = Arc::clone(self);
+                        connections.push(std::thread::spawn(move || {
+                            if let Err(e) = server.handle_connection(stream) {
+                                eprintln!("fairness-serve: connection error: {e}");
+                            }
+                        }));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
+            connections.retain(|h| !h.is_finished());
+            wait_readable(&self.listener, ACCEPT_POLL);
         }
         // Graceful drain: accepted work completes before the process
         // exits, so no half-written cache entries or orphaned clients.
@@ -380,6 +393,49 @@ impl Server {
         }
         out
     }
+}
+
+/// Blocks until `listener` has a pending connection or `timeout`
+/// elapses, through `poll(2)`, declared here directly like the daemon's
+/// `signal` binding because the offline dependency policy rules out the
+/// libc crate. An interrupted or failed wait just returns early; the
+/// caller re-checks its stop flags and retries.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is a valid, exclusively borrowed pollfd array of
+    // length one for the duration of the call.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+/// Without `poll(2)`, fall back to sleeping out the backstop.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// Streams a job's NDJSON event log from the beginning, following live

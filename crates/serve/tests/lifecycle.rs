@@ -8,6 +8,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn test_opts(dir: &Path) -> ReproOptions {
     ReproOptions {
@@ -260,5 +261,39 @@ fn backpressure_and_routing_errors() {
 
     server.shutdown();
     run_handle.join().expect("thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn requests_and_shutdown_have_no_poll_floor() {
+    let dir = std::env::temp_dir().join("fairness-serve-latency");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = test_opts(&dir);
+    opts.disk_cache = false;
+    let server = Server::bind("127.0.0.1:0", opts).expect("bind");
+    let (addr, run_handle) = spawn(&server);
+
+    // Each request connects only after the previous one finished, so a
+    // timer-driven accept loop would add its full poll interval (20 ms)
+    // to every one of them: 400 ms in all.
+    let started = Instant::now();
+    for _ in 0..20 {
+        let (status, _) = request(addr, "GET", "/metrics", "");
+        assert_eq!(status, "HTTP/1.1 200 OK");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 sequential GET /metrics took {elapsed:?}"
+    );
+
+    let stopping = Instant::now();
+    server.shutdown();
+    run_handle.join().expect("thread").expect("clean shutdown");
+    let elapsed = stopping.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "run() returned {elapsed:?} after shutdown()"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

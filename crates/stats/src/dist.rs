@@ -725,56 +725,14 @@ impl Multinomial {
         self.probs.iter().map(|&p| self.n as f64 * p).collect()
     }
 
-    /// Draw category counts summing to `n`.
+    /// Draw category counts summing to `n`: each trial walks one uniform
+    /// down the categories.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
         let mut counts = vec![0u64; self.probs.len()];
-        Self::trials_into(self.n, &self.probs, &mut counts, rng);
-        counts
-    }
-
-    /// The allocation-free equivalent of `Multinomial::new(n,
-    /// weights.to_vec()).sample(rng)`: normalizes `weights` into the
-    /// caller's `normalized` scratch and accumulates trial counts into
-    /// `counts` (cleared and resized in place). Performs bit-for-bit the
-    /// same arithmetic and consumes bit-for-bit the same RNG stream as the
-    /// allocating path — the simulation hot loops (C-PoS epochs) rely on
-    /// that equivalence, and a unit test pins it.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`new`](Self::new).
-    pub fn sample_weights_into<R: Rng + ?Sized>(
-        n: u64,
-        weights: &[f64],
-        normalized: &mut Vec<f64>,
-        counts: &mut Vec<u64>,
-        rng: &mut R,
-    ) {
-        assert!(
-            weights.len() >= 2,
-            "Multinomial needs at least two categories"
-        );
-        // Identical accumulation order to `new`, so the normalization
-        // divides by the bit-identical total.
-        let mut total = 0.0;
-        for (i, &p) in weights.iter().enumerate() {
-            assert!(p.is_finite() && p >= 0.0, "probs[{i}] must be ≥ 0, got {p}");
-            total += p;
-        }
-        assert!(total > 0.0, "probabilities must not all be zero");
-        normalized.clear();
-        normalized.extend(weights.iter().map(|&p| p / total));
-        counts.clear();
-        counts.resize(weights.len(), 0);
-        Self::trials_into(n, normalized, counts, rng);
-    }
-
-    /// The shared trial loop: `n` categorical draws over already
-    /// normalized probabilities, counted into `counts`.
-    fn trials_into<R: Rng + ?Sized>(n: u64, probs: &[f64], counts: &mut [u64], rng: &mut R) {
-        for _ in 0..n {
+        for _ in 0..self.n {
             let mut u: f64 = rng.gen();
-            let mut winner = probs.len() - 1;
-            for (i, &p) in probs.iter().enumerate() {
+            let mut winner = self.probs.len() - 1;
+            for (i, &p) in self.probs.iter().enumerate() {
                 if u < p {
                     winner = i;
                     break;
@@ -783,6 +741,7 @@ impl Multinomial {
             }
             counts[winner] += 1;
         }
+        counts
     }
 }
 
@@ -1156,32 +1115,6 @@ mod tests {
             let emp = *t as f64 / reps as f64;
             assert!((emp - want).abs() < 0.1, "{emp} vs {want}");
         }
-    }
-
-    #[test]
-    fn multinomial_sample_weights_into_is_bit_identical() {
-        // The zero-allocation path must consume the same RNG stream and
-        // produce the same counts as the allocating constructor path —
-        // the C-PoS hot loop depends on it for byte-identical figures.
-        let weights = vec![0.2, 0.3000000000000001, 0.5, 1e-12];
-        let mut a_rng = Xoshiro256StarStar::new(77);
-        let mut b_rng = Xoshiro256StarStar::new(77);
-        let m = Multinomial::new(32, weights.clone());
-        let mut normalized = Vec::new();
-        let mut counts = Vec::new();
-        for _ in 0..200 {
-            let via_alloc = m.sample(&mut a_rng);
-            Multinomial::sample_weights_into(
-                32,
-                &weights,
-                &mut normalized,
-                &mut counts,
-                &mut b_rng,
-            );
-            assert_eq!(via_alloc, counts);
-        }
-        // RNG streams stayed aligned throughout.
-        assert_eq!(a_rng.next(), b_rng.next());
     }
 
     #[test]
