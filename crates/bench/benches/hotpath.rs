@@ -1,13 +1,14 @@
 //! Criterion benchmarks: the simulation hot paths this workspace's
 //! wall-clock lives in — per-step game stepping for every base protocol,
-//! weighted sampling (Fenwick vs linear scan), and sha256 nonce grinding
-//! (midstate vs full rebuild).
+//! weighted sampling (Fenwick vs linear scan), sha256 nonce grinding
+//! (midstate vs full rebuild), and whole SL-PoS ensembles on the SIMD lane
+//! kernel vs one repetition at a time.
 //!
 //! CI runs these in smoke mode (one pass each) so the benches cannot rot;
 //! locally, `cargo bench --bench hotpath` prints ns/iter per target.
 
 use chain_sim::{Hash256, HashBuilder};
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fairness_core::game::MiningGame;
 use fairness_core::miner::{paper_multi_miner, sample_categorical, two_miner};
 use fairness_core::prelude::*;
@@ -127,6 +128,45 @@ fn bench_layers(c: &mut Criterion) {
     group.finish();
 }
 
+/// Repetition-steps per `ensemble` iteration: 64 repetitions (a whole
+/// number of lane blocks at every width) of 15 625 blocks each, so the
+/// printed ns/iter divided by 10⁶ reads as ns/step/rep.
+const ENSEMBLE_REP_STEPS: u64 = 1_000_000;
+
+/// One serial SL-PoS ensemble per iteration, on every lane kernel this
+/// CPU runs and on the per-repetition path (which, at m = 2, is the fused
+/// two-miner kernel).
+fn bench_ensembles(c: &mut Criterion) {
+    use fairness_core::montecarlo::{run_ensemble_with_width, LaneWidth};
+    fairness_stats::mc::set_global_threads(1);
+    let mut group = c.benchmark_group("ensemble");
+    group.throughput(Throughput::Elements(ENSEMBLE_REP_STEPS));
+    let reps = 64;
+    let steps = ENSEMBLE_REP_STEPS / reps as u64;
+    for m in [2usize, 10] {
+        let config = EnsembleConfig {
+            initial_shares: paper_multi_miner(m, 0.2),
+            checkpoints: vec![steps],
+            repetitions: reps,
+            seed: 7,
+            eps_delta: EpsilonDelta::default(),
+            withholding: None,
+        };
+        for width in LaneWidth::supported() {
+            let path = match width {
+                LaneWidth::PerRepetition => "sl-pos-per-rep",
+                LaneWidth::Avx2 => "sl-pos-lanes-avx2",
+                LaneWidth::Avx512 => "sl-pos-lanes-avx512",
+            };
+            group.bench_function(BenchmarkId::new(path, m), |b| {
+                b.iter(|| black_box(run_ensemble_with_width(&SlPos::new(0.01), &config, width)));
+            });
+        }
+    }
+    group.finish();
+    fairness_stats::mc::set_global_threads(0);
+}
+
 fn bench_sampling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample");
     for m in [2usize, 10, 40] {
@@ -181,6 +221,7 @@ criterion_group!(
     benches,
     bench_steps,
     bench_layers,
+    bench_ensembles,
     bench_sampling,
     bench_grind
 );

@@ -11,9 +11,13 @@ use crate::fairness::{unfair_probability, EpsilonDelta};
 use crate::game::MiningGame;
 use crate::protocol::IncentiveProtocol;
 use crate::withholding::WithholdingSchedule;
-use fairness_stats::mc::{run_monte_carlo, McConfig};
+use fairness_stats::mc::{run_monte_carlo, run_monte_carlo_lanes, McConfig};
 use fairness_stats::summary::FiveNumber;
 use serde::{Deserialize, Serialize};
+
+mod lanes;
+
+pub use lanes::LaneWidth;
 
 /// Band statistics at one checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -107,9 +111,19 @@ impl EnsembleConfig {
 /// Runs the ensemble: `repetitions` independent games of `protocol`,
 /// summarized per checkpoint.
 ///
-/// The protocol is cloned per repetition; repetitions run in parallel with
-/// per-repetition deterministic seeds, so results are reproducible
-/// regardless of thread count.
+/// Repetition `i` draws from its own stream (`SeedSequence::child_rng(i)`
+/// of the master seed) and repetitions run in parallel, so results are
+/// reproducible regardless of thread count. One of two paths runs them,
+/// with identical output bytes:
+///
+/// * **Lanes** — when the protocol is a bare SL-PoS race
+///   ([`IncentiveProtocol::slpos_core_reward`] is `Some`), there is no
+///   withholding, and at least two miners all hold positive shares,
+///   repetitions run [`LaneWidth::detected`]`().lanes()` at a time in one
+///   SIMD kernel (16 on AVX-512, 8 on AVX2).
+/// * **Per repetition** — everything else (and every ensemble on a CPU
+///   without AVX2) clones the protocol into one [`MiningGame`] per
+///   repetition.
 ///
 /// # Panics
 /// Panics on invalid configuration (no repetitions, bad checkpoints or
@@ -119,22 +133,81 @@ pub fn run_ensemble<P>(protocol: &P, config: &EnsembleConfig) -> EnsembleSummary
 where
     P: IncentiveProtocol + Clone,
 {
+    run_ensemble_with_width(protocol, config, LaneWidth::detected())
+}
+
+/// [`run_ensemble`] with the SL-PoS kernel width chosen by the caller
+/// instead of by the CPU probe — for benchmarks and for the tests that
+/// pin every width to the same bytes. Ensembles that do not qualify for
+/// the lane path ignore `width`.
+///
+/// # Panics
+/// Panics like [`run_ensemble`], and if the lane path is taken with a
+/// width this CPU does not support.
+#[must_use]
+pub fn run_ensemble_with_width<P>(
+    protocol: &P,
+    config: &EnsembleConfig,
+    width: LaneWidth,
+) -> EnsembleSummary
+where
+    P: IncentiveProtocol + Clone,
+{
+    run_ensemble_on(protocol, config, width, 0)
+}
+
+/// [`run_ensemble_with_width`] on `threads` workers (`0` = the process
+/// default).
+fn run_ensemble_on<P>(
+    protocol: &P,
+    config: &EnsembleConfig,
+    width: LaneWidth,
+    threads: usize,
+) -> EnsembleSummary
+where
+    P: IncentiveProtocol + Clone,
+{
     assert!(config.repetitions > 0, "need at least one repetition");
     assert!(
         !config.checkpoints.is_empty(),
         "need at least one checkpoint"
     );
-    let trajectories = run_monte_carlo(
-        McConfig::new(config.repetitions, config.seed),
-        |_idx, rng| {
+    let mc = McConfig::new(config.repetitions, config.seed).with_threads(threads);
+    let trajectories = match slpos_lane_setup(protocol, config, width) {
+        Some((stakes, reward)) => {
+            assert!(
+                config.checkpoints.windows(2).all(|w| w[0] < w[1]),
+                "checkpoints must be strictly ascending"
+            );
+            run_monte_carlo_lanes(mc, width.lanes(), |_first, rngs, out| {
+                lanes::run_block(width, &stakes, reward, &config.checkpoints, rngs, out);
+            })
+        }
+        None => run_monte_carlo(mc, |_idx, rng| {
             let mut game = MiningGame::new(protocol.clone(), &config.initial_shares);
             if let Some(schedule) = config.withholding {
                 game = game.with_withholding(schedule);
             }
             game.run_with_checkpoints(&config.checkpoints, rng).values
-        },
-    );
+        }),
+    };
     summarize(&protocol.label(), config, &trajectories)
+}
+
+/// The normalized stakes and block reward of an ensemble that takes the
+/// SL-PoS lane path at `width`, or `None` if it must run per repetition.
+fn slpos_lane_setup<P: IncentiveProtocol>(
+    protocol: &P,
+    config: &EnsembleConfig,
+    width: LaneWidth,
+) -> Option<(Vec<f64>, f64)> {
+    if width == LaneWidth::PerRepetition || config.withholding.is_some() {
+        return None;
+    }
+    let reward = protocol.slpos_core_reward()?;
+    debug_assert_eq!(reward, protocol.reward_per_step());
+    let stakes = crate::miner::normalize_shares(&config.initial_shares);
+    (stakes.len() >= 2 && stakes.iter().all(|&s| s > 0.0)).then_some((stakes, reward))
 }
 
 /// Runs the ensemble tracking **every** miner, returning one summary per
@@ -255,6 +328,7 @@ fn summarize_with_scratch(
 mod tests {
     use super::*;
     use crate::protocols::{CPos, MlPos, Pow, SlPos};
+    use crate::withholding::WithholdingSchedule;
 
     #[test]
     fn pow_band_contracts_and_converges() {
@@ -393,6 +467,120 @@ mod tests {
         assert_eq!(mk(&[0.5, 0.05, 0.5, 0.05]).convergence_time(ed), Some(400));
         assert_eq!(mk(&[0.5, 0.05, 0.04]).convergence_time(ed), Some(200));
         assert_eq!(mk(&[0.5, 0.2]).convergence_time(ed), None);
+    }
+
+    /// Runs `config` under SL-PoS at every supported width and thread
+    /// count, requiring the per-repetition summary byte for byte.
+    fn assert_lanes_match(protocol: &(impl IncentiveProtocol + Clone), config: &EnsembleConfig) {
+        let reference = run_ensemble_with_width(protocol, config, LaneWidth::PerRepetition);
+        for width in LaneWidth::supported() {
+            for threads in [1, 2, 3] {
+                let got = run_ensemble_on(protocol, config, width, threads);
+                assert_eq!(
+                    got,
+                    reference,
+                    "{width:?}, {threads} threads, m = {}, reps = {}",
+                    config.initial_shares.len(),
+                    config.repetitions
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slpos_lane_path_is_bit_identical_to_per_repetition() {
+        for m in 2..=12 {
+            let config = EnsembleConfig {
+                initial_shares: crate::miner::paper_multi_miner(m, 0.2),
+                // Checkpoint 0, gaps of one, and a long final stretch.
+                checkpoints: vec![0, 1, 2, 3, 50, 51, 400 + 37 * m as u64],
+                repetitions: 3 + 5 * m,
+                seed: 0x51a9 + m as u64,
+                eps_delta: EpsilonDelta::default(),
+                withholding: None,
+            };
+            assert_lanes_match(&SlPos::new(0.01), &config);
+        }
+    }
+
+    #[test]
+    fn slpos_lane_path_handles_any_repetition_count() {
+        // Fewer repetitions than lanes, exactly a block, and one past.
+        for reps in [1, 2, 3, 4, 5, 7, 8, 9, 17] {
+            let config = EnsembleConfig {
+                initial_shares: vec![0.3, 0.5, 0.2],
+                checkpoints: vec![1, 100, 2000],
+                repetitions: reps,
+                seed: 900 + reps as u64,
+                eps_delta: EpsilonDelta::default(),
+                withholding: None,
+            };
+            assert_lanes_match(&SlPos::new(0.02), &config);
+        }
+    }
+
+    #[test]
+    fn slpos_lane_path_matches_through_the_registry_box() {
+        // The scenario runner hands ensembles a type-erased protocol; the
+        // hook must survive the box and give the same bytes.
+        let shares = crate::miner::paper_multi_miner(5, 0.2);
+        let boxed = crate::registry::construct(
+            &crate::scenario::ProtocolSpec::new("sl-pos").with("w", 0.01),
+            &shares,
+        )
+        .expect("constructs");
+        let config = EnsembleConfig {
+            initial_shares: shares,
+            checkpoints: vec![10, 1000],
+            repetitions: 21,
+            seed: 5,
+            eps_delta: EpsilonDelta::default(),
+            withholding: None,
+        };
+        assert_lanes_match(&boxed, &config);
+        assert_eq!(
+            run_ensemble(&boxed, &config),
+            run_ensemble(&SlPos::new(0.01), &config)
+        );
+    }
+
+    #[test]
+    fn non_qualifying_ensembles_stay_per_repetition() {
+        let widest = LaneWidth::detected();
+        let sl = SlPos::new(0.01);
+        let base = EnsembleConfig {
+            checkpoints: vec![5, 200],
+            ..EnsembleConfig::paper_default(0.2, 200, 9, 3)
+        };
+        let zero_share = EnsembleConfig {
+            initial_shares: vec![0.0, 0.4, 0.6],
+            ..base.clone()
+        };
+        let withheld = EnsembleConfig {
+            withholding: Some(WithholdingSchedule::every(10)),
+            ..base.clone()
+        };
+        let single = EnsembleConfig {
+            initial_shares: vec![1.0],
+            ..base.clone()
+        };
+        for config in [&zero_share, &withheld, &single] {
+            assert_eq!(slpos_lane_setup(&sl, config, widest), None);
+        }
+        // Adapters do not forward the hook: cash-out over SL-PoS keeps
+        // stepping its own (different) law per repetition.
+        let cash_out = crate::strategies::CashOut::new(sl, 0, 0.2);
+        assert_eq!(slpos_lane_setup(&cash_out, &base, widest), None);
+        assert_eq!(slpos_lane_setup(&MlPos::new(0.01), &base, widest), None);
+        // Forcing a width never changes what those ensembles produce.
+        for config in [&zero_share, &withheld, &single, &base] {
+            assert_eq!(
+                run_ensemble_with_width(&cash_out, config, widest),
+                run_ensemble_with_width(&cash_out, config, LaneWidth::PerRepetition)
+            );
+        }
+        let qualifies = slpos_lane_setup(&sl, &base, widest).is_some();
+        assert_eq!(qualifies, widest != LaneWidth::PerRepetition);
     }
 
     #[test]

@@ -92,34 +92,72 @@ where
     T: Send,
     F: Fn(usize, &mut Xoshiro256StarStar) -> T + Sync,
 {
+    run_monte_carlo_lanes(config, 1, |first, rngs, out| {
+        out.push(f(first, &mut rngs[0]));
+    })
+}
+
+/// [`run_monte_carlo`] over lane-aligned blocks: `f(first, rngs, out)`
+/// receives the seeded streams of repetitions `first..first + rngs.len()`
+/// (`lanes` of them, fewer only in the final block) and must push exactly
+/// one result per stream, in order, onto `out`.
+///
+/// This lets a kernel step several repetitions in lockstep (one per SIMD
+/// lane) while keeping the scheduling of [`run_monte_carlo`]: blocks are
+/// claimed by the same work-stealing loop, every repetition keeps its own
+/// `SeedSequence` stream, and results come back in repetition order, so
+/// output is identical for every thread count and every `lanes`.
+///
+/// # Panics
+/// Panics if `lanes` is zero, or if `f` pushes the wrong number of
+/// results.
+pub fn run_monte_carlo_lanes<T, F>(config: McConfig, lanes: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut [Xoshiro256StarStar], &mut Vec<T>) + Sync,
+{
+    assert!(lanes > 0, "need at least one lane per block");
     let reps = config.repetitions;
     if reps == 0 {
         return Vec::new();
     }
     let seq = SeedSequence::new(config.seed);
-    let threads = config.effective_threads().clamp(1, reps);
+    let blocks = reps.div_ceil(lanes);
+    let threads = config.effective_threads().clamp(1, blocks);
+    // Runs the block starting at repetition `start`, appending its results.
+    let run_block = |start: usize, rngs: &mut Vec<Xoshiro256StarStar>, out: &mut Vec<T>| {
+        rngs.clear();
+        rngs.extend((start..(start + lanes).min(reps)).map(|i| seq.child_rng(i as u64)));
+        let before = out.len();
+        f(start, rngs, out);
+        assert_eq!(out.len() - before, rngs.len(), "one result per repetition");
+    };
 
     if threads == 1 {
-        return (0..reps)
-            .map(|i| {
-                let mut rng = seq.child_rng(i as u64);
-                f(i, &mut rng)
-            })
-            .collect();
+        let mut out = Vec::with_capacity(reps);
+        let mut rngs = Vec::with_capacity(lanes);
+        for start in (0..reps).step_by(lanes) {
+            run_block(start, &mut rngs, &mut out);
+        }
+        return out;
     }
 
     // Small batches amortize the atomic increment without recreating static
-    // chunking's tail imbalance.
-    let batch = (reps / (threads * 8)).clamp(1, 64);
+    // chunking's tail imbalance; a batch is a whole number of blocks.
+    let batch = (blocks / (threads * 8)).clamp(1, (64 / lanes).max(1)) * lanes;
     let next = AtomicUsize::new(0);
-    let worker = |out: &mut Vec<(usize, T)>| loop {
-        let start = next.fetch_add(batch, Ordering::Relaxed);
-        if start >= reps {
-            break;
-        }
-        for idx in start..(start + batch).min(reps) {
-            let mut rng = seq.child_rng(idx as u64);
-            out.push((idx, f(idx, &mut rng)));
+    let worker = |out: &mut Vec<(usize, T)>| {
+        let mut rngs = Vec::with_capacity(lanes);
+        let mut block = Vec::with_capacity(lanes);
+        loop {
+            let claimed = next.fetch_add(batch, Ordering::Relaxed);
+            if claimed >= reps {
+                break;
+            }
+            for start in (claimed..(claimed + batch).min(reps)).step_by(lanes) {
+                run_block(start, &mut rngs, &mut block);
+                out.extend(block.drain(..).enumerate().map(|(k, v)| (start + k, v)));
+            }
         }
     };
 
@@ -214,6 +252,37 @@ mod tests {
         for (k, (i, _)) in out.iter().enumerate() {
             assert_eq!(k, *i);
         }
+    }
+
+    #[test]
+    fn lane_blocks_hand_out_each_repetitions_own_stream() {
+        for reps in [1, 2, 7, 8, 9, 100] {
+            let reference = run_monte_carlo(McConfig::new(reps, 31), |i, rng| (i, rng.next()));
+            for lanes in [1, 3, 8, 16] {
+                for threads in [1, 2, 3, 5] {
+                    let config = McConfig::new(reps, 31).with_threads(threads);
+                    let got = run_monte_carlo_lanes(config, lanes, |first, rngs, out| {
+                        assert!(!rngs.is_empty() && rngs.len() <= lanes);
+                        assert_eq!(first % lanes, 0, "blocks are lane-aligned");
+                        for (k, rng) in rngs.iter_mut().enumerate() {
+                            out.push((first + k, rng.next()));
+                        }
+                    });
+                    assert_eq!(
+                        got, reference,
+                        "{reps} reps, {lanes} lanes, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one result per repetition")]
+    fn lane_blocks_must_return_one_result_per_stream() {
+        let _ = run_monte_carlo_lanes(McConfig::new(5, 1).with_threads(1), 4, |_, _, out| {
+            out.push(0u8);
+        });
     }
 
     #[test]

@@ -77,6 +77,9 @@ impl SeedableRng for SplitMix64 {
     }
 }
 
+/// 2⁻⁵³: scales the top 53 bits of an output word into `[0, 1)`.
+const F64_UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
 /// xoshiro256** 1.0 (Blackman & Vigna 2018).
 ///
 /// 256-bit state, period 2²⁵⁶ − 1, excellent statistical quality for
@@ -121,7 +124,7 @@ impl Xoshiro256StarStar {
     /// bits of one output word.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next() >> 11) as f64 * F64_UNIT
     }
 
     /// Equivalent of 2¹²⁸ calls to [`next`](Self::next); used to derive
@@ -147,6 +150,137 @@ impl Xoshiro256StarStar {
         }
         self.s = s;
     }
+}
+
+/// `K` independent [`Xoshiro256StarStar`] streams stepped in lockstep, one
+/// per lane.
+///
+/// The state is stored lane-major per state word (`[[u64; K]; 4]`), so
+/// every update is a plain lane-wise loop that the compiler turns into
+/// vector instructions when the caller is compiled for a wide enough
+/// target feature (or, under AVX2, written in intrinsics:
+/// [`next_f64_avx2`](Self::next_f64_avx2)). Lane `l` produces exactly the
+/// words of the stream it was built from: this is a data layout, not a
+/// different generator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct XoshiroLanes<const K: usize> {
+    s: [[u64; K]; 4],
+}
+
+impl<const K: usize> XoshiroLanes<K> {
+    /// Gathers `K` streams into lanes; lane `l` continues `streams[l]`.
+    #[must_use]
+    pub fn new(streams: &[Xoshiro256StarStar; K]) -> Self {
+        Self {
+            s: std::array::from_fn(|word| std::array::from_fn(|l| streams[l].s[word])),
+        }
+    }
+
+    /// Advances every lane once; lane `l` of the result is what
+    /// [`Xoshiro256StarStar::next`] returns for that lane's stream.
+    #[inline(always)]
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> [u64; K] {
+        let [s0, s1, s2, s3] = &mut self.s;
+        let mut out = [0u64; K];
+        for l in 0..K {
+            out[l] = s1[l].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s1[l] << 17;
+            s2[l] ^= s0[l];
+            s3[l] ^= s1[l];
+            s1[l] ^= s2[l];
+            s0[l] ^= s3[l];
+            s2[l] ^= t;
+            s3[l] = s3[l].rotate_left(45);
+        }
+        out
+    }
+
+    /// Lane-wise [`Xoshiro256StarStar::next_f64`], bit-equal per lane.
+    ///
+    /// The `u64 → f64` cast of a 53-bit value is exact; under AVX-512 DQ
+    /// it is one instruction per eight lanes.
+    #[inline(always)]
+    pub fn next_f64(&mut self) -> [f64; K] {
+        let words = self.next();
+        std::array::from_fn(|l| (words[l] >> 11) as f64 * F64_UNIT)
+    }
+
+    /// [`next_f64`](Self::next_f64) with the state update written in AVX2
+    /// intrinsics, four lanes per register; same output, lane for lane.
+    ///
+    /// The portable loop vectorizes well under AVX-512, which has a
+    /// 64-bit rotate; under AVX2 the compiler's cost model keeps the
+    /// multiply-and-rotate of xoshiro's output in scalar registers, which
+    /// makes a lane kernel slower than one repetition at a time.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `K` must be a multiple of 4.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub unsafe fn next_f64_avx2(&mut self) -> [f64; K] {
+        use std::arch::x86_64::{
+            __m256i, _mm256_add_epi64, _mm256_loadu_si256, _mm256_or_si256, _mm256_slli_epi64,
+            _mm256_srli_epi64, _mm256_storeu_si256, _mm256_xor_si256,
+        };
+        debug_assert_eq!(K % 4, 0);
+        let mut words = [0u64; K];
+        for c in (0..K).step_by(4) {
+            let ptr = |w: &mut [u64; K]| w[c..].as_mut_ptr().cast::<__m256i>();
+            let [p0, p1, p2, p3] = self.s.each_mut().map(ptr);
+            // SAFETY: each pointer addresses four in-bounds words.
+            let (s0, s1, s2, s3) = unsafe {
+                (
+                    _mm256_loadu_si256(p0),
+                    _mm256_loadu_si256(p1),
+                    _mm256_loadu_si256(p2),
+                    _mm256_loadu_si256(p3),
+                )
+            };
+            // rotl(s1 * 5, 7) * 9, with x * (2^k + 1) as (x << k) + x.
+            let x = _mm256_add_epi64(_mm256_slli_epi64::<2>(s1), s1);
+            let x = _mm256_or_si256(_mm256_slli_epi64::<7>(x), _mm256_srli_epi64::<57>(x));
+            let out = _mm256_add_epi64(_mm256_slli_epi64::<3>(x), x);
+            let t = _mm256_slli_epi64::<17>(s1);
+            let s2 = _mm256_xor_si256(s2, s0);
+            let s3 = _mm256_xor_si256(s3, s1);
+            let s1 = _mm256_xor_si256(s1, s2);
+            let s0 = _mm256_xor_si256(s0, s3);
+            let s2 = _mm256_xor_si256(s2, t);
+            let s3 = _mm256_or_si256(_mm256_slli_epi64::<45>(s3), _mm256_srli_epi64::<19>(s3));
+            // SAFETY: as above, and `words[c..c + 4]` is in bounds.
+            unsafe {
+                _mm256_storeu_si256(p0, s0);
+                _mm256_storeu_si256(p1, s1);
+                _mm256_storeu_si256(p2, s2);
+                _mm256_storeu_si256(p3, s3);
+                _mm256_storeu_si256(words[c..].as_mut_ptr().cast(), out);
+            }
+        }
+        std::array::from_fn(|l| u53_to_f64(words[l] >> 11) * F64_UNIT)
+    }
+}
+
+/// Converts an integer below 2⁵³ to `f64` exactly, as two exact halves.
+///
+/// The high 21 bits are placed in the mantissa of 2⁸⁴ and the low 32 bits
+/// in the mantissa of 2⁵², so both halves are exact doubles; subtracting
+/// `2⁸⁴ + 2⁵²` and adding them back is exact because every intermediate is
+/// an integer below 2⁵³ or a multiple of 2³² in the 2⁸⁴ binade. The result
+/// equals `x as f64`, but it needs only integer bit operations and `f64`
+/// add/subtract, which vectorize on every x86-64 level (the `u64 → f64`
+/// cast has no AVX2 instruction).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn u53_to_f64(x: u64) -> f64 {
+    debug_assert!(x < 1 << 53);
+    const HI_EXP: u64 = 0x4530_0000_0000_0000; // 2⁸⁴
+    const LO_EXP: u64 = 0x4330_0000_0000_0000; // 2⁵²
+    const BIAS: u64 = 0x4530_0000_0010_0000; // 2⁸⁴ + 2⁵²
+    let hi = f64::from_bits((x >> 32) | HI_EXP) - f64::from_bits(BIAS);
+    let lo = f64::from_bits((x & 0xFFFF_FFFF) | LO_EXP);
+    hi + lo
 }
 
 impl RngCore for Xoshiro256StarStar {
@@ -290,6 +424,88 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
+    }
+
+    /// Lane `l` of a `K`-lane generator must replay seed `l`'s scalar
+    /// stream word for word (`draw_lanes` and `draw_scalar` pick the
+    /// output: raw words or their `f64` bits).
+    fn assert_lanes_follow_scalar<const K: usize>(
+        draw_lanes: impl Fn(&mut XoshiroLanes<K>) -> [u64; K],
+        draw_scalar: impl Fn(&mut Xoshiro256StarStar) -> u64,
+    ) {
+        let mut scalar: [Xoshiro256StarStar; K] =
+            std::array::from_fn(|l| Xoshiro256StarStar::new(1000 + l as u64));
+        let mut lanes = XoshiroLanes::new(&scalar);
+        for _ in 0..2_000 {
+            let got = draw_lanes(&mut lanes);
+            for (l, rng) in scalar.iter_mut().enumerate() {
+                assert_eq!(got[l], draw_scalar(rng), "lane {l} of {K}");
+            }
+        }
+        for (l, rng) in scalar.iter().enumerate() {
+            let state: [u64; 4] = std::array::from_fn(|word| lanes.s[word][l]);
+            assert_eq!(state, rng.s, "state of lane {l} of {K}");
+        }
+    }
+
+    #[test]
+    fn xoshiro_lanes_match_scalar_streams() {
+        fn check<const K: usize>() {
+            assert_lanes_follow_scalar::<K>(|r| r.next(), |r| r.next());
+            assert_lanes_follow_scalar::<K>(
+                |r| r.next_f64().map(f64::to_bits),
+                |r| r.next_f64().to_bits(),
+            );
+        }
+        check::<1>();
+        check::<4>();
+        check::<8>();
+        check::<16>();
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn xoshiro_lanes_avx2_draw_matches_scalar_streams() {
+        fn check<const K: usize>() {
+            assert_lanes_follow_scalar::<K>(
+                // SAFETY: AVX2 is checked below; K is a multiple of 4.
+                |r| unsafe { r.next_f64_avx2() }.map(f64::to_bits),
+                |r| r.next_f64().to_bits(),
+            );
+        }
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        check::<4>();
+        check::<8>();
+        check::<16>();
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn split_conversion_is_exact_at_the_edges() {
+        let top = (1u64 << 53) - 1;
+        let mut words = vec![
+            0,
+            1,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 52,
+            top - 1,
+            top,
+        ];
+        let mut rng = Xoshiro256StarStar::new(17);
+        words.extend((0..10_000).map(|_| rng.next() >> 11));
+        for x in words {
+            assert_eq!(u53_to_f64(x).to_bits(), (x as f64).to_bits(), "{x:#x}");
+        }
+        assert_eq!(u53_to_f64(0).to_bits(), 0.0f64.to_bits(), "+0.0, not -0.0");
+        assert_eq!(
+            u53_to_f64(top) * F64_UNIT,
+            1.0 - F64_UNIT,
+            "largest uniform"
+        );
     }
 
     #[test]
